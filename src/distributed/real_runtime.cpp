@@ -194,34 +194,40 @@ class PsClient {
     connect();
   }
 
-  /// Coordinate get: returns w[c] for each requested column, in order.
-  std::vector<double> step(std::span<const std::uint32_t> cols) {
+  /// Coordinate get: w[c] for each requested column, in order. The view
+  /// stays valid until the next request.
+  std::span<const double> step(std::span<const std::uint32_t> cols) {
     const std::uint64_t seq = ++seq_;
-    wire::Packer p;
-    p.u64(seq).u32(static_cast<std::uint32_t>(cols.size()));
-    for (const std::uint32_t c : cols) p.u32(c);
-    const std::string reply = request(wire::kStep, seq, p.view(),
-                                      wire::kStepReply, reply_timeout_ms_);
-    wire::Unpacker u(reply);
-    (void)u.u64();  // seq, already matched
-    std::vector<double> values(cols.size());
-    for (double& v : values) v = u.f64();
-    return values;
+    out_.clear();
+    wire::encode_step(out_, seq, cols);
+    request(wire::kStep, seq, wire::kStepReply, reply_timeout_ms_);
+    return values(cols.size());
   }
 
-  /// Sparse push for `walk`, applied exactly once server-side.
-  void push(std::uint32_t walk, double gradient_scale, double scaled_step,
-            std::span<const std::uint32_t> idx, std::span<const double> val) {
+  /// Sparse push for `walk`, applied exactly once server-side, fused with
+  /// the get of the next draw's columns. The server answers only when this
+  /// rank's next slot opens (the parked-get rule in ps_wire.hpp), so the
+  /// values are the ones a standalone step() would read there. Same view
+  /// lifetime as step().
+  std::span<const double> push_step(const wire::PushHead& head,
+                                    std::span<const std::uint32_t> idx,
+                                    std::span<const double> val,
+                                    std::span<const std::uint32_t> next_cols) {
     const std::uint64_t seq = ++seq_;
-    wire::Packer p;
-    p.u64(seq).u32(walk).f64(gradient_scale).f64(scaled_step);
-    p.u32(static_cast<std::uint32_t>(idx.size()));
-    for (std::size_t j = 0; j < idx.size(); ++j) {
-      p.u32(idx[j]);
-      p.f64(val[j]);
-    }
-    (void)request(wire::kPush, seq, p.view(), wire::kPushAck,
-                  reply_timeout_ms_);
+    out_.clear();
+    wire::encode_push_step(out_, seq, head, idx, val, next_cols);
+    request(wire::kPushStep, seq, wire::kStepReply, reply_timeout_ms_);
+    return values(next_cols.size());
+  }
+
+  /// Sparse push with no get attached: the epoch's last draw and the draw
+  /// before a scripted crash.
+  void push(const wire::PushHead& head, std::span<const std::uint32_t> idx,
+            std::span<const double> val) {
+    const std::uint64_t seq = ++seq_;
+    out_.clear();
+    wire::encode_push(out_, seq, head, idx, val);
+    request(wire::kPush, seq, wire::kPushAck, reply_timeout_ms_);
   }
 
   /// Epoch fence: reports this client's cumulative wire retries, blocks on
@@ -233,11 +239,10 @@ class PsClient {
   /// the repeats by sequence number.
   EpochGo epoch_end() {
     const std::uint64_t seq = ++seq_;
-    wire::Packer p;
-    p.u64(seq).u64(retries_);
-    const std::string reply = request(wire::kEpochEnd, seq, p.view(),
-                                      wire::kEpochGo, reply_timeout_ms_);
-    wire::Unpacker u(reply);
+    out_.clear();
+    out_.u64(seq).u64(retries_);
+    request(wire::kEpochEnd, seq, wire::kEpochGo, reply_timeout_ms_);
+    wire::Unpacker u(in_.payload);
     (void)u.u64();  // seq
     EpochGo go;
     go.cont = u.u32() != 0;
@@ -266,9 +271,18 @@ class PsClient {
     ++incarnation_;
   }
 
-  std::string request(std::uint32_t type, std::uint64_t seq,
-                      const std::string& payload, std::uint32_t reply_type,
-                      int timeout_ms) {
+  /// The kStepReply values in in_, decoded into the reused values_.
+  std::span<const double> values(std::size_t n) {
+    wire::Unpacker u(in_.payload);
+    (void)u.u64();  // seq, already matched
+    wire::decode_step_reply(u, n, values_);
+    return values_;
+  }
+
+  /// Sends out_ as a `type` frame until the `reply_type` reply with the same
+  /// seq lands in in_.
+  void request(std::uint32_t type, std::uint64_t seq, std::uint32_t reply_type,
+               int timeout_ms) {
     // Two failure budgets: timeouts retransmit until the fence deadline (a
     // slow server mid-fence or mid-liveness-wait is not an error, and the
     // retransmits are what keep THIS rank looking alive to it); closes
@@ -282,24 +296,24 @@ class PsClient {
       try {
         if (!ep_) connect();
         ep_->set_io_timeout(timeout_ms);
-        net::write_frame(*ep_, type, payload);
+        net::write_frame(*ep_, type, out_.view());
         while (true) {
-          const net::Frame f = net::read_frame(*ep_);
-          wire::Unpacker u(f.payload);
+          net::read_frame(*ep_, in_);
+          wire::Unpacker u(in_.payload);
           const std::uint64_t rseq = u.u64();
           // A duplicate of an earlier reply (our retransmit crossed the
           // original answer, or a stale cached resend): discard and keep
           // reading — sequence numbers are monotonic per rank.
           if (rseq < seq) continue;
-          if (rseq != seq || f.type != reply_type) {
+          if (rseq != seq || in_.type != reply_type) {
             throw net::TransportError(
                 net::TransportError::Kind::kProtocol,
                 "ps client rank " + std::to_string(rank_) +
                     ": expected reply type " + std::to_string(reply_type) +
                     " seq " + std::to_string(seq) + ", got type " +
-                    std::to_string(f.type) + " seq " + std::to_string(rseq));
+                    std::to_string(in_.type) + " seq " + std::to_string(rseq));
           }
-          return f.payload;
+          return;
         }
       } catch (const net::TransportError& e) {
         if (e.kind() == net::TransportError::Kind::kProtocol ||
@@ -332,13 +346,20 @@ class PsClient {
   std::uint32_t incarnation_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t retries_ = 0;
+  // Reused across requests: the per-sample path allocates nothing once the
+  // largest row has been seen.
+  wire::Packer out_;
+  net::Frame in_;
+  std::vector<double> values_;
 };
 
 // ---- Fault-tolerant PS server -----------------------------------------------
 
 /// The PS process: serves coordinate gets and applies pushes in the fenced
 /// rank order (one applied push per live rank per round — the exact apply
-/// sequence of the fenced simulator, crash-aware or not). Detects a dead
+/// sequence of the fenced simulator, crash-aware or not). A kPushStep's get
+/// is parked and answered when the rank's next slot opens, so every get
+/// reads the model at the moment the simulator's step does. Detects a dead
 /// worker by its liveness deadline expiring, reports per-rank liveness and
 /// per-walk applied-draw counts at each fence, and executes whatever
 /// assignment the controller replies with.
@@ -393,7 +414,11 @@ class PsServer {
     bool done = false;
     std::uint64_t last_seq = 0;
     std::uint32_t cached_type = 0;  // 0 = no cached reply
-    std::string cached_reply;
+    wire::Packer cached_reply;
+    /// A kPushStep's get awaiting this rank's next slot (its seq is
+    /// last_seq; cached_type stays 0 until the reply is formed).
+    bool parked = false;
+    std::vector<std::uint32_t> parked_cols;
     std::uint32_t incarnations = 0;
     std::uint64_t go_seq = 0;
     std::uint64_t retries = 0;  // worker-reported cumulative wire retries
@@ -408,6 +433,7 @@ class PsServer {
       rs.last_seq = 0;
       rs.cached_type = 0;
       rs.cached_reply.clear();
+      rs.parked = false;
       rs.retries = 0;
     }
     rs.ep = net::wrap_faulty(
@@ -481,23 +507,26 @@ class PsServer {
   void mark_dead(std::size_t r) {
     RankState& rs = ranks_[r];
     rs.dead = true;
+    rs.parked = false;
     rs.ep.reset();
   }
 
-  /// Sends a reply and remembers it as the rank's cached reply, so a
-  /// duplicate of the request (seq == last_seq) can be answered again
-  /// without re-executing. A send failure just drops the connection — the
-  /// worker reconnects and retransmits, hitting the cache.
-  void reply_cached(RankState& rs, std::uint32_t type, std::string payload) {
+  /// Starts the rank's cached reply of `type`; the caller encodes it into
+  /// the returned packer, then calls send_cached. Caching lets a duplicate
+  /// of the request (seq == last_seq) be answered again without
+  /// re-executing.
+  wire::Packer& begin_reply(RankState& rs, std::uint32_t type) {
     rs.cached_type = type;
-    rs.cached_reply = std::move(payload);
-    send_cached(rs);
+    rs.cached_reply.clear();
+    return rs.cached_reply;
   }
 
+  /// A send failure just drops the connection — the worker reconnects and
+  /// retransmits, hitting the cache.
   void send_cached(RankState& rs) {
     if (!rs.ep) return;
     try {
-      net::write_frame(*rs.ep, rs.cached_type, rs.cached_reply);
+      net::write_frame(*rs.ep, rs.cached_type, rs.cached_reply.view());
     } catch (const net::TransportError& e) {
       if (e.kind() == net::TransportError::Kind::kProtocol ||
           e.kind() == net::TransportError::Kind::kIo) {
@@ -508,9 +537,17 @@ class PsServer {
   }
 
   /// Serves rank r until it contributes one applied push (kApplied), ends
-  /// its epoch (kDone), or its liveness deadline expires (kDead).
+  /// its epoch (kDone), or its liveness deadline expires (kDead). The slot
+  /// opens by answering the rank's parked get — formed into the cache even
+  /// when the rank is disconnected, so its retransmit finds it.
   SlotResult serve_slot(std::size_t r) {
     RankState& rs = ranks_[r];
+    if (rs.parked) {
+      wire::encode_step_reply(begin_reply(rs, wire::kStepReply), rs.last_seq,
+                              w_, rs.parked_cols);
+      rs.parked = false;
+      send_cached(rs);
+    }
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(liveness_ms_);
     while (true) {
@@ -521,10 +558,9 @@ class PsServer {
         }
         continue;
       }
-      net::Frame f;
       try {
         rs.ep->set_io_timeout(poll_ms_);
-        f = net::read_frame(*rs.ep);
+        net::read_frame(*rs.ep, frame_);
       } catch (const net::TransportError& e) {
         if (e.kind() == net::TransportError::Kind::kTimeout) {
           if (Clock::now() < deadline) continue;
@@ -535,7 +571,7 @@ class PsServer {
         rs.ep.reset();  // worker died or is reconnecting; await_rank decides
         continue;
       }
-      wire::Unpacker u(f.payload);
+      wire::Unpacker u(frame_.payload);
       const std::uint64_t seq = u.u64();
       if (seq <= rs.last_seq) {
         // Retransmit of something already executed: resend the cached reply
@@ -549,42 +585,27 @@ class PsServer {
             "ps server: rank " + std::to_string(r) + " jumped from seq " +
                 std::to_string(rs.last_seq) + " to " + std::to_string(seq));
       }
-      switch (f.type) {
+      switch (frame_.type) {
         case wire::kStep: {
-          const std::uint32_t ncols = u.u32();
-          wire::Packer reply;
-          reply.u64(seq);
-          for (std::uint32_t j = 0; j < ncols; ++j) reply.f64(w_[u.u32()]);
+          wire::decode_cols(u, w_.size(), cols_);
           rs.last_seq = seq;
-          reply_cached(rs, wire::kStepReply, std::move(reply).take());
+          wire::encode_step_reply(begin_reply(rs, wire::kStepReply), seq, w_,
+                                  cols_);
+          send_cached(rs);
           continue;  // the step's push is still owed in this slot
         }
-        case wire::kPush: {
-          const std::uint32_t walk = u.u32();
-          const double gradient_scale = u.f64();
-          const double scaled_step = u.f64();
-          const std::uint32_t nnz = u.u32();
-          if (walk >= k_) {
-            throw net::TransportError(
-                net::TransportError::Kind::kProtocol,
-                "ps server: push for out-of-range walk " +
-                    std::to_string(walk));
-          }
-          idx_.resize(nnz);
-          val_.resize(nnz);
-          for (std::uint32_t j = 0; j < nnz; ++j) {
-            idx_[j] = u.u32();
-            val_[j] = u.f64();
-          }
-          fenced::apply_push(idx_, val_, gradient_scale, scaled_step,
-                             options_.reg, w_);
-          ++applied_;
-          ++walk_draws_[walk];
-          bytes_ += static_cast<std::uint64_t>(nnz) * spec_.bytes_per_nnz;
+        case wire::kPush:
+        case wire::kPushStep: {
+          apply(wire::decode_push(u, w_.size(), idx_, val_));
           rs.last_seq = seq;
-          wire::Packer ack;
-          ack.u64(seq);
-          reply_cached(rs, wire::kPushAck, std::move(ack).take());
+          if (frame_.type == wire::kPushStep) {
+            wire::decode_cols(u, w_.size(), rs.parked_cols);
+            rs.parked = true;
+            rs.cached_type = 0;  // the reply is formed at the next slot
+          } else {
+            wire::encode_push_ack(begin_reply(rs, wire::kPushAck), seq);
+            send_cached(rs);
+          }
           return SlotResult::kApplied;
         }
         case wire::kEpochEnd: {
@@ -592,15 +613,29 @@ class PsServer {
           rs.last_seq = seq;
           rs.go_seq = seq;
           rs.cached_type = 0;  // the kEpochGo becomes the cached reply
-          rs.cached_reply.clear();
           return SlotResult::kDone;
         }
         default:
           throw net::TransportError(
               net::TransportError::Kind::kProtocol,
-              "ps server: unexpected frame type " + std::to_string(f.type));
+              "ps server: unexpected frame type " +
+                  std::to_string(frame_.type));
       }
     }
+  }
+
+  /// Applies a decoded push (row in idx_/val_) — the simulator's arithmetic.
+  void apply(const wire::PushHead& head) {
+    if (head.walk >= k_) {
+      throw net::TransportError(
+          net::TransportError::Kind::kProtocol,
+          "ps server: push for out-of-range walk " + std::to_string(head.walk));
+    }
+    fenced::apply_push(idx_, val_, head.gradient_scale, head.scaled_step,
+                       options_.reg, w_);
+    ++applied_;
+    ++walk_draws_[head.walk];
+    bytes_ += static_cast<std::uint64_t>(idx_.size()) * spec_.bytes_per_nnz;
   }
 
   /// Admits rank r's replacement process at the fence: waits for its
@@ -620,10 +655,9 @@ class PsServer {
         }
         continue;
       }
-      net::Frame f;
       try {
         rs.ep->set_io_timeout(poll_ms_);
-        f = net::read_frame(*rs.ep);
+        net::read_frame(*rs.ep, frame_);
       } catch (const net::TransportError& e) {
         if (e.kind() == net::TransportError::Kind::kTimeout) {
           if (Clock::now() < deadline) continue;
@@ -635,14 +669,13 @@ class PsServer {
         rs.ep.reset();
         continue;
       }
-      wire::Unpacker u(f.payload);
+      wire::Unpacker u(frame_.payload);
       const std::uint64_t seq = u.u64();
-      if (f.type != wire::kEpochEnd) continue;  // stale frame: ignore
+      if (frame_.type != wire::kEpochEnd) continue;  // stale frame: ignore
       rs.retries = u.u64();
       rs.last_seq = seq;
       rs.go_seq = seq;
       rs.cached_type = 0;
-      rs.cached_reply.clear();
       rs.dead = false;
       return;
     }
@@ -677,10 +710,9 @@ class PsServer {
           if (!await_rank(r, std::min(grace, deadline))) break;
           continue;
         }
-        net::Frame f;
         try {
           rs.ep->set_io_timeout(poll_ms_);
-          f = net::read_frame(*rs.ep);
+          net::read_frame(*rs.ep, frame_);
         } catch (const net::TransportError& e) {
           if (e.kind() == net::TransportError::Kind::kTimeout) {
             if (Clock::now() < deadline) continue;
@@ -690,7 +722,7 @@ class PsServer {
           rs.ep.reset();
           continue;
         }
-        wire::Unpacker u(f.payload);
+        wire::Unpacker u(frame_.payload);
         if (u.u64() == rs.last_seq && rs.cached_type != 0) send_cached(rs);
       }
     }
@@ -740,7 +772,7 @@ class PsServer {
     for (std::size_t r = 0; r < k_; ++r) {
       RankState& rs = ranks_[r];
       if (rs.dead) continue;
-      wire::Packer go;
+      wire::Packer& go = begin_reply(rs, wire::kEpochGo);
       go.u64(rs.go_seq).u32(cont ? 1 : 0);
       go.u32(static_cast<std::uint32_t>(epoch + 1));
       go.u32(static_cast<std::uint32_t>(assign[r].size()));
@@ -748,7 +780,7 @@ class PsServer {
         go.u32(e.walk);
         go.u64(e.ff);
       }
-      reply_cached(rs, wire::kEpochGo, std::move(go).take());
+      send_cached(rs);
     }
     return cont;
   }
@@ -767,8 +799,12 @@ class PsServer {
   std::vector<RankState> ranks_;
   std::uint64_t applied_ = 0;
   std::uint64_t bytes_ = 0;
+  // Reused per-sample scratch: the serving loop allocates nothing once the
+  // largest row has been seen.
+  net::Frame frame_;
   std::vector<std::uint32_t> idx_;
   std::vector<double> val_;
+  std::vector<std::uint32_t> cols_;
 };
 
 void ps_server_main(int addr_fd, const std::string& bind, std::size_t k,
@@ -785,6 +821,14 @@ void ps_server_main(int addr_fd, const std::string& bind, std::size_t k,
 /// deterministic sample streams), then continuing where the dead rank left
 /// off. A scripted FaultScenario crash is a clean _exit(0) between two
 /// complete push round trips.
+///
+/// The worker draws one sample ahead across its assigned walks, so each
+/// push travels with the next draw's get (kPushStep). NodeWalk draws never
+/// depend on the model, and in-memory samples point into the one shared
+/// matrix, so drawing ahead changes nothing. The epoch's first get is a
+/// plain kStep; its last push and the push before a scripted crash are
+/// plain kPush round trips, so kEpochEnd and the crash point keep their
+/// meaning and local_draws counts applied pushes, as fast-forward needs.
 void ps_worker_main(const std::string& address, std::size_t rank,
                     std::vector<NodeWalk>& walks,
                     const objectives::Objective& objective,
@@ -827,27 +871,53 @@ void ps_worker_main(const std::string& address, std::size_t rank,
                        scenario.crash_fraction *
                        static_cast<double>(quota_total))
                  : 0;
-    std::uint64_t pushed = 0;
-    for (const GoEntry& e : assign) {
-      NodeWalk& walk = walks[e.walk];
-      const std::size_t quota = walk.epoch_quota();
-      for (std::size_t q = 0; q < quota; ++q) {
-        if (crashing && pushed == crash_after) ::_exit(0);
-        const NodeWalk::Sample s = walk.next();
-        const auto x = s.matrix->row(s.row);
-        const auto idx = x.indices();
-        const auto val = x.values();
-        const std::vector<double> values = client.step(idx);
-        double margin = 0;
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          margin += values[j] * val[j];
-        }
-        client.push(e.walk,
-                    objective.gradient_scale(margin, s.matrix->label(s.row)),
-                    lambda * s.weight, idx, val);
-        ++local_draws[e.walk];
-        ++pushed;
+    struct Draw {
+      std::uint32_t walk = 0;
+      NodeWalk::Sample sample;
+    };
+    std::size_t cursor = 0, drawn = 0;  // position in assign, draws from it
+    const auto draw = [&](Draw& d) {
+      while (cursor < assign.size() &&
+             drawn == walks[assign[cursor].walk].epoch_quota()) {
+        ++cursor;
+        drawn = 0;
       }
+      if (cursor == assign.size()) return false;
+      d.walk = assign[cursor].walk;
+      d.sample = walks[d.walk].next();
+      ++drawn;
+      return true;
+    };
+    const auto row = [](const Draw& d) {
+      return d.sample.matrix->row(d.sample.row);
+    };
+    std::uint64_t pushed = 0;
+    Draw cur, next;
+    bool more = !(crashing && crash_after == 0) && draw(cur);
+    std::span<const double> values;
+    if (more) values = client.step(row(cur).indices());
+    while (more) {
+      const auto x = row(cur);
+      const auto idx = x.indices();
+      const auto val = x.values();
+      double margin = 0;
+      for (std::size_t j = 0; j < idx.size(); ++j) {
+        margin += values[j] * val[j];
+      }
+      const wire::PushHead head{
+          cur.walk,
+          objective.gradient_scale(margin,
+                                   cur.sample.matrix->label(cur.sample.row)),
+          lambda * cur.sample.weight};
+      more = !(crashing && pushed + 1 == crash_after) && draw(next);
+      if (more) {
+        values = client.push_step(head, idx, val, row(next).indices());
+      } else {
+        client.push(head, idx, val);
+      }
+      ++local_draws[cur.walk];
+      ++pushed;
+      cur = next;
     }
     if (crashing && pushed == crash_after) ::_exit(0);
     const EpochGo go = client.epoch_end();

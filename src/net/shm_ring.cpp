@@ -235,23 +235,22 @@ class ShmEndpoint final : public Endpoint {
           ring.tail.position.load(std::memory_order_acquire);
       const std::uint64_t available = tail - head;
       if (available == 0) {
-        if (peer_closed(h)) {
+        // A peer's last bytes and its close (or death) can land between the
+        // tail load above and the checks below. The close flag is stored
+        // after the data, so once the peer is seen gone, re-read the tail:
+        // only a ring that is still empty is a close.
+        const bool closed = peer_closed(h);
+        const bool died = !closed && peer_process_gone(h, spins);
+        if ((closed || died) &&
+            ring.tail.position.load(std::memory_order_acquire) == head) {
+          const std::string what =
+              closed ? "shm peer closed" : "shm peer process died";
           throw TransportError(
               TransportError::Kind::kClosed,
-              received == 0
-                  ? "shm peer closed"
-                  : "shm peer closed mid-message (torn frame: got " +
-                        std::to_string(received) + " of " +
-                        std::to_string(size) + " bytes)");
-        }
-        if (peer_process_gone(h, spins)) {
-          throw TransportError(
-              TransportError::Kind::kClosed,
-              received == 0
-                  ? "shm peer process died"
-                  : "shm peer process died mid-message (torn frame: got " +
-                        std::to_string(received) + " of " +
-                        std::to_string(size) + " bytes)");
+              received == 0 ? what
+                            : what + " mid-message (torn frame: got " +
+                                  std::to_string(received) + " of " +
+                                  std::to_string(size) + " bytes)");
         }
         check_deadline(deadline, "shm recv");
         backoff(spins);

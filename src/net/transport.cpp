@@ -1,6 +1,7 @@
 #include "net/transport.hpp"
 
 #include <cstring>
+#include <memory>
 
 namespace isasgd::net {
 
@@ -18,6 +19,9 @@ namespace {
 
 constexpr std::string_view kTcpScheme = "tcp://";
 constexpr std::string_view kShmScheme = "shm://";
+/// Frames whose header + payload fit this many bytes are sent from a stack
+/// buffer; larger ones (fences, model deltas) allocate once per frame.
+constexpr std::size_t kInlineFrameBytes = std::size_t{16} << 10;
 
 [[noreturn]] void bad_address(const std::string& address) {
   throw TransportError(TransportError::Kind::kIo,
@@ -72,23 +76,28 @@ void write_frame(Endpoint& endpoint, std::uint32_t type,
   // One contiguous buffer per frame: the SPSC ring and TCP both prefer a
   // single send over three tiny ones, and the header must never interleave
   // with another thread's payload anyway (single-owner send contract).
-  std::string wire;
-  wire.resize(16 + payload.size());
+  const std::size_t size = 16 + payload.size();
+  char inline_buf[kInlineFrameBytes];
+  std::unique_ptr<char[]> heap_buf;
+  char* wire = inline_buf;
+  if (size > sizeof(inline_buf)) {
+    heap_buf = std::make_unique_for_overwrite<char[]>(size);
+    wire = heap_buf.get();
+  }
   const std::uint32_t magic = kFrameMagic;
   const std::uint64_t length = payload.size();
-  std::memcpy(wire.data(), &magic, 4);
-  std::memcpy(wire.data() + 4, &type, 4);
-  std::memcpy(wire.data() + 8, &length, 8);
-  std::memcpy(wire.data() + 16, payload.data(), payload.size());
-  endpoint.send_bytes(wire.data(), wire.size());
+  std::memcpy(wire, &magic, 4);
+  std::memcpy(wire + 4, &type, 4);
+  std::memcpy(wire + 8, &length, 8);
+  if (!payload.empty()) std::memcpy(wire + 16, payload.data(), payload.size());
+  endpoint.send_bytes(wire, size);
 }
 
-Frame read_frame(Endpoint& endpoint) {
+void read_frame(Endpoint& endpoint, Frame& frame) {
   char header[16];
   endpoint.recv_bytes(header, sizeof(header));
   std::uint32_t magic = 0;
   std::uint64_t length = 0;
-  Frame frame;
   std::memcpy(&magic, header, 4);
   std::memcpy(&frame.type, header + 4, 4);
   std::memcpy(&length, header + 8, 8);
@@ -105,6 +114,11 @@ Frame read_frame(Endpoint& endpoint) {
   }
   frame.payload.resize(static_cast<std::size_t>(length));
   if (length > 0) endpoint.recv_bytes(frame.payload.data(), frame.payload.size());
+}
+
+Frame read_frame(Endpoint& endpoint) {
+  Frame frame;
+  read_frame(endpoint, frame);
   return frame;
 }
 

@@ -129,9 +129,16 @@ inline constexpr std::uint32_t kFrameMagic = 0x52465349u;
 /// protocol violation (kProtocol), not an allocation attempt.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{64} << 20;
 
+/// Sends header + payload as ONE send_bytes call (the fault layer's frame
+/// boundary). Frames up to 16 KiB are staged on the stack, so the
+/// per-sample frames never touch the heap.
 void write_frame(Endpoint& endpoint, std::uint32_t type,
                  std::string_view payload);
 [[nodiscard]] Frame read_frame(Endpoint& endpoint);
+/// read_frame into a caller-owned frame: its payload string keeps its
+/// capacity, so a loop reading into one Frame stops allocating once the
+/// largest frame has been seen.
+void read_frame(Endpoint& endpoint, Frame& frame);
 
 /// read_frame + type check: a frame of any other type is kProtocol, naming
 /// both. The PS wire protocol is strictly request/response, so an

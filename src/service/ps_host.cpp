@@ -1,8 +1,8 @@
 #include "service/ps_host.hpp"
 
 #include <cstdint>
-#include <span>
 #include <utility>
+#include <vector>
 
 #include "distributed/fenced.hpp"
 #include "distributed/ps_wire.hpp"
@@ -63,55 +63,52 @@ void PsHost::serve() {
 }
 
 void PsHost::serve_connection(net::Endpoint& ep) {
+  net::Frame frame;
+  wire::Packer out;
+  std::vector<std::uint32_t> idx, cols;
+  std::vector<double> val;
   for (;;) {
-    net::Frame frame;
     try {
-      frame = net::read_frame(ep);
+      net::read_frame(ep, frame);
     } catch (const net::TransportError& e) {
       if (e.kind() == net::TransportError::Kind::kClosed) return;  // done
       throw;
     }
+    if (frame.type == wire::kHello) continue;  // no reply in the wire map
+    wire::Unpacker in(frame.payload);
+    const std::uint64_t seq = in.u64();
+    out.clear();
     switch (frame.type) {
-      case wire::kHello:
-        break;  // identification only; no reply in the wire map
       case wire::kStep: {
-        wire::Unpacker in(frame.payload);
-        const std::uint64_t ncols = in.u64();
-        wire::Packer out;
+        wire::decode_cols(in, dim_, cols);
         {
           std::lock_guard lock(model_mu_);
-          for (std::uint64_t j = 0; j < ncols; ++j) {
-            const std::uint32_t c = in.u32();
-            out.f64(c < dim_ ? model_[c] : 0.0);
-          }
+          wire::encode_step_reply(out, seq, model_, cols);
         }
-        net::write_frame(ep, wire::kStepReply, std::move(out).take());
+        net::write_frame(ep, wire::kStepReply, out.view());
         break;
       }
-      case wire::kPush: {
-        wire::Unpacker in(frame.payload);
-        const double gradient_scale = in.f64();
-        const double scaled_step = in.f64();
-        const std::uint64_t nnz = in.u64();
-        std::vector<std::uint32_t> idx(nnz);
-        std::vector<double> val(nnz);
-        for (std::uint64_t j = 0; j < nnz; ++j) {
-          idx[j] = in.u32();
-          val[j] = in.f64();
-          if (idx[j] >= dim_) {
-            throw net::TransportError(
-                net::TransportError::Kind::kProtocol,
-                "push coordinate " + std::to_string(idx[j]) +
-                    " out of range (dim " + std::to_string(dim_) + ")");
-          }
-        }
+      case wire::kPush:
+      case wire::kPushStep: {
+        // Decode the whole frame before touching the model: a malformed
+        // push costs its connection and lands nothing.
+        const wire::PushHead head = wire::decode_push(in, dim_, idx, val);
+        const bool fused = frame.type == wire::kPushStep;
+        if (fused) wire::decode_cols(in, dim_, cols);
         {
           std::lock_guard lock(model_mu_);
-          distributed::fenced::apply_push(idx, val, gradient_scale,
-                                          scaled_step, reg_, model_);
+          distributed::fenced::apply_push(idx, val, head.gradient_scale,
+                                          head.scaled_step, reg_, model_);
+          // No rank order here: the fused get reads right after the apply.
+          if (fused) wire::encode_step_reply(out, seq, model_, cols);
         }
         pushes_.fetch_add(1, std::memory_order_relaxed);
-        net::write_frame(ep, wire::kPushAck, {});
+        if (fused) {
+          net::write_frame(ep, wire::kStepReply, out.view());
+        } else {
+          wire::encode_push_ack(out, seq);
+          net::write_frame(ep, wire::kPushAck, out.view());
+        }
         break;
       }
       default:

@@ -2,12 +2,16 @@
 //
 // PsHost turns the daemon into a standing parameter-server endpoint: it owns
 // a dense model vector and serves the distributed wire protocol
-// (distributed/ps_wire.hpp) over a net::Transport listener — coordinate gets
-// (kStep → kStepReply) and sparse pushes (kPush → apply → kPushAck) — so
-// external worker processes can train against a model that outlives any one
-// of them. The apply is fenced::apply_push, the same inlined arithmetic as
-// the fenced simulator and the forked process groups: a worker talking to a
-// hosted PS sees exactly the update rule every other backend implements.
+// (distributed/ps_wire.hpp, through its per-sample codec) over a
+// net::Transport listener — coordinate gets (kStep → kStepReply), sparse
+// pushes (kPush → apply → kPushAck) and fused push + get (kPushStep →
+// apply → kStepReply), every reply echoing the request's seq — so external
+// worker processes can train against a model that outlives any one of them.
+// The host has no rank order, so a kPushStep's get is answered at once, and
+// no per-rank dedup: a retransmitted push would apply twice. The apply is
+// fenced::apply_push, the same inlined arithmetic as the fenced simulator
+// and the forked process groups: a worker talking to a hosted PS sees
+// exactly the update rule every other backend implements.
 //
 // Lifecycle: construct (binds the listener, resolves ephemeral addresses),
 // serve connections on a background thread, stop() to wind down. Connections

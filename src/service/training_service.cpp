@@ -135,6 +135,8 @@ TrainingService::~TrainingService() {
       }
       if (job->thread.joinable()) threads.push_back(std::move(job->thread));
     }
+    for (std::thread& t : reaped_) threads.push_back(std::move(t));
+    reaped_.clear();
     admit_queue_.clear();
   }
   {
@@ -229,8 +231,10 @@ void TrainingService::start_locked(const std::shared_ptr<Job>& job) {
 
 void TrainingService::pump_queue() {
   std::vector<std::shared_ptr<Job>> started;
+  std::vector<std::thread> finished;
   {
     const std::lock_guard<std::mutex> lock(mu_);
+    finished.swap(reaped_);
     while (!admit_queue_.empty() && !shutdown_) {
       const auto it = jobs_.find(admit_queue_.front());
       if (it == jobs_.end() || it->second->state != JobState::kQueued) {
@@ -246,6 +250,8 @@ void TrainingService::pump_queue() {
     }
   }
   if (!started.empty()) cv_.notify_all();
+  // Outside mu_: a join under it would stall every other job's fence.
+  for (std::thread& t : finished) t.join();
 }
 
 void TrainingService::run_job(std::shared_ptr<Job> job) {
@@ -299,6 +305,11 @@ void TrainingService::run_job(std::shared_ptr<Job> job) {
   governor_.release(job->reserved_bytes);
   cv_.notify_all();
   pump_queue();
+  // Last step: hand this thread to the reap list, so the next pump_queue
+  // (or the destructor) joins it and a finished job's stack is unmapped
+  // instead of staying resident for the service's lifetime.
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (job->thread.joinable()) reaped_.push_back(std::move(job->thread));
 }
 
 bool TrainingService::fence(Job& job, std::size_t epoch,
@@ -492,9 +503,9 @@ data::CacheStats TrainingService::cache_stats() const {
 }
 
 void TrainingService::wait(std::uint64_t id) {
-  // Waits on the state transition only; threads are joined by the
-  // destructor (a finished job's thread may still be pumping the admission
-  // queue when its state turns terminal).
+  // Waits on the state transition only; a finished job's thread is joined
+  // by a later job's pump_queue or the destructor (it may still be pumping
+  // the admission queue when its state turns terminal).
   std::unique_lock<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) {

@@ -40,6 +40,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/execution.hpp"
@@ -152,6 +153,9 @@ class TrainingService {
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::deque<std::uint64_t> admit_queue_;  ///< kQueued, FIFO
+  /// Threads of finished jobs, moved here by themselves as their last step;
+  /// pump_queue joins them outside mu_, the destructor joins the rest.
+  std::vector<std::thread> reaped_;
   /// Atomic: checked under mu_ (submit, pause parking) *and* under
   /// slice_mu_ (acquire_slice) — an atomic keeps both reads race-free.
   std::atomic<bool> shutdown_{false};

@@ -14,6 +14,7 @@
 #include "distributed/cluster.hpp"
 #include "distributed/fenced.hpp"
 #include "distributed/real_runtime.hpp"
+#include "distributed/recovery.hpp"
 #include "metrics/evaluator.hpp"
 #include "objectives/least_squares.hpp"
 #include "objectives/logistic.hpp"
@@ -137,6 +138,34 @@ TEST_P(PsProcessSuite, ThreeWorkersAlsoMatch) {
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "ps_is_asgd k=3");
+}
+
+TEST_P(PsProcessSuite, LookaheadAcrossAdoptedWalksAlsoMatches) {
+  // Rank 1 of 3 crashes mid-epoch 1; under kReshard rank 0 adopts walk 1
+  // and from epoch 2 on walks {0, 1}. Its one-draw lookahead then fuses the
+  // last push of walk 0 with the get of walk 1's first draw — the fused
+  // exchange crossing a walk boundary must leave the sim's bits intact.
+  Fixture fx;
+  auto opt = small_options();
+  opt.epochs = 4;
+  ClusterSpec spec = process_spec(GetParam(), /*nodes=*/3);
+  spec.fault.crash_node = 1;
+  spec.fault.crash_epoch = 1;
+  spec.fault.crash_fraction = 0.5;
+  spec.recovery.policy = RecoveryPolicy::kReshard;
+  spec.recovery.liveness_timeout_ms = 300;
+  ASSERT_EQ(plan_assignment(3, {1, 0, 1}, RecoveryPolicy::kReshard)[0],
+            (std::vector<std::uint32_t>{0, 1}));
+  ParamServerReport real_report;
+  const solvers::Trace real = run_param_server_process(
+      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
+      fx.evaluator.as_fn(), &real_report);
+  spec.backend = Backend::kSimulate;
+  const solvers::Trace sim = run_param_server_fenced(
+      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
+      fx.evaluator.as_fn());
+  expect_bit_identical(real, sim, "ps_is_asgd k=3 after reshard");
+  EXPECT_EQ(real_report.crash_events, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, PsProcessSuite,

@@ -4,7 +4,9 @@
 // probe (a reader blocked on a ring whose peer process died gets a typed
 // kClosed instead of spinning forever — including while the peer is an
 // unreaped zombie, which is what a crashed PS worker looks like until the
-// controller reaps it at a fence).
+// controller reaps it at a fence). It ends with the fused per-sample
+// exchange (kPushStep and its parked get) driven through a real k=3 process
+// group under that injector.
 #include "net/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +21,13 @@
 #include <thread>
 #include <vector>
 
+#include "data/synthetic.hpp"
+#include "distributed/cluster.hpp"
+#include "distributed/fenced.hpp"
+#include "distributed/real_runtime.hpp"
+#include "metrics/evaluator.hpp"
 #include "net/transport.hpp"
+#include "objectives/logistic.hpp"
 
 namespace isasgd::net {
 namespace {
@@ -411,6 +419,99 @@ TEST(ShmPeerDeath, WriterUnblocksWhenPeerDiesWithFullRing) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
+
+// ---- Parked gets under faults: a real k=3 group ------------------------------
+
+class ParkedGetSuite : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ParkedGetSuite, FaultyGroupStaysBitIdenticalToTheFencedSimulator) {
+  // Each kPushStep's get is parked until its rank's next slot, i.e. until
+  // the other two ranks have pushed. A delayed, dropped or reset frame of
+  // one rank stalls the server in that rank's slot while the others wait
+  // on parked gets; once the stall outlasts the reply timeout they
+  // retransmit their kPushStep, which reaches the server before the get it
+  // carries is answered. The server must ignore it until the reply is
+  // formed and serve it from the cache afterwards — a twice-applied push or
+  // a get read at the wrong moment would change the model's bits.
+  data::SyntheticSpec dspec;
+  dspec.rows = 150;
+  dspec.dim = 40;
+  dspec.mean_row_nnz = 6;
+  dspec.target_psi = 0.85;
+  dspec.label_noise = 0.02;
+  const sparse::CsrMatrix data = data::generate(dspec);
+  objectives::LogisticLoss loss;
+  metrics::Evaluator evaluator(data, loss, objectives::Regularization::none(),
+                               1);
+  solvers::SolverOptions opt;
+  opt.step_size = 0.3;
+  opt.epochs = 3;
+  opt.seed = 99;
+  opt.keep_final_model = true;
+
+  distributed::ClusterSpec spec;
+  spec.nodes = 3;
+  spec.backend = distributed::Backend::kProcess;
+  spec.schedule = distributed::Schedule::kFencedRoundRobin;
+  spec.transport = GetParam();
+  spec.recovery.reply_timeout_ms = 10;
+  spec.recovery.liveness_timeout_ms = 1000;
+  spec.recovery.fence_reply_timeout_ms = 4000;
+  spec.recovery.backoff_initial_ms = 1.0;
+  spec.recovery.backoff_max_ms = 4.0;
+  spec.wire_faults.seed = 314;
+  spec.wire_faults.drop_rate = 0.02;
+  spec.wire_faults.delay_rate = 0.05;
+  spec.wire_faults.reset_rate = 0.01;
+  spec.wire_faults.max_delay_ms = 40;
+
+  // The schedule itself (a pure function of the seed) must stall the
+  // server: some worker's first-incarnation stream delays a mid-epoch frame
+  // by well over the reply timeout, so parked ranks must retransmit.
+  const FaultPlan plan(spec.wire_faults);
+  int long_stalls = 0;
+  for (std::uint32_t rank = 0; rank < 3; ++rank) {
+    for (std::uint64_t frame = 2; frame < 40; ++frame) {
+      const FaultDecision d =
+          plan.decide(FaultPlan::stream_id(0, rank, 0), frame);
+      if (d.action == FaultAction::kDelay &&
+          d.delay_ms >= 3u * static_cast<std::uint32_t>(
+                                 spec.recovery.reply_timeout_ms)) {
+        ++long_stalls;
+      }
+    }
+  }
+  ASSERT_GT(long_stalls, 0) << "seed schedules no long stall; pick another";
+
+  distributed::ParamServerReport report;
+  const solvers::Trace real = distributed::run_param_server_process(
+      data, loss, opt, spec, /*use_importance=*/true, evaluator.as_fn(),
+      &report);
+  distributed::ClusterSpec sim_spec = spec;
+  sim_spec.backend = distributed::Backend::kSimulate;
+  sim_spec.wire_faults = FaultSpec{};
+  const solvers::Trace sim = distributed::run_param_server_fenced(
+      data, loss, opt, sim_spec, /*use_importance=*/true, evaluator.as_fn());
+
+  ASSERT_EQ(real.final_model.size(), sim.final_model.size());
+  for (std::size_t j = 0; j < real.final_model.size(); ++j) {
+    ASSERT_EQ(real.final_model[j], sim.final_model[j])
+        << "coordinate " << j << " diverged";
+  }
+  ASSERT_EQ(real.points.size(), sim.points.size());
+  for (std::size_t p = 0; p < real.points.size(); ++p) {
+    ASSERT_EQ(real.points[p].objective, sim.points[p].objective)
+        << "epoch " << real.points[p].epoch;
+  }
+  EXPECT_GT(report.wire_retries, 0u);
+  // One applied push per sample, however often the wire retried.
+  EXPECT_EQ(report.messages, opt.epochs * data.rows());
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, ParkedGetSuite,
+                         ::testing::Values(std::string("shm"),
+                                           std::string("tcp")),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace isasgd::net

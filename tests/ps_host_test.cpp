@@ -22,30 +22,34 @@ namespace {
 
 namespace wire = distributed::wire;
 
+// Every frame goes through the wire codec a real PsClient uses. PsHost only
+// echoes seq, so one counter serves every connection of the test binary.
+std::uint64_t next_seq = 0;
+
 std::vector<double> step_values(net::Endpoint& ep,
                                 const std::vector<std::uint32_t>& idx) {
+  const std::uint64_t seq = ++next_seq;
   wire::Packer req;
-  req.u64(idx.size());
-  for (const std::uint32_t c : idx) req.u32(c);
-  net::write_frame(ep, wire::kStep, std::move(req).take());
+  wire::encode_step(req, seq, idx);
+  net::write_frame(ep, wire::kStep, req.view());
   const net::Frame reply = net::expect_frame(ep, wire::kStepReply, "step");
   wire::Unpacker in(reply.payload);
-  std::vector<double> values(idx.size());
-  for (double& v : values) v = in.f64();
+  EXPECT_EQ(in.u64(), seq) << "the reply must echo the request's seq";
+  std::vector<double> values;
+  wire::decode_step_reply(in, idx.size(), values);
   return values;
 }
 
 void push(net::Endpoint& ep, double gradient_scale, double scaled_step,
           const std::vector<std::uint32_t>& idx,
           const std::vector<double>& val) {
+  const std::uint64_t seq = ++next_seq;
   wire::Packer req;
-  req.f64(gradient_scale).f64(scaled_step).u64(idx.size());
-  for (std::size_t j = 0; j < idx.size(); ++j) {
-    req.u32(idx[j]);
-    req.f64(val[j]);
-  }
-  net::write_frame(ep, wire::kPush, std::move(req).take());
-  (void)net::expect_frame(ep, wire::kPushAck, "push");
+  wire::encode_push(req, seq, {0, gradient_scale, scaled_step}, idx, val);
+  net::write_frame(ep, wire::kPush, req.view());
+  const net::Frame ack = net::expect_frame(ep, wire::kPushAck, "push");
+  wire::Unpacker in(ack.payload);
+  EXPECT_EQ(in.u64(), seq) << "the ack must echo the push's seq";
 }
 
 TEST(PsHost, ServesGetsAndAppliesPushesWithSharedApplyArithmetic) {
@@ -93,8 +97,10 @@ TEST(PsHost, OutOfRangePushCoordinateCostsOnlyThatConnection) {
     auto bad = net::connect(host.address());
     bad->set_io_timeout(5000);
     wire::Packer req;
-    req.f64(1.0).f64(1.0).u64(1).u32(99).f64(1.0);
-    net::write_frame(*bad, wire::kPush, std::move(req).take());
+    const std::vector<std::uint32_t> idx{99};
+    const std::vector<double> val{1.0};
+    wire::encode_push(req, 1, {0, 1.0, 1.0}, idx, val);
+    net::write_frame(*bad, wire::kPush, req.view());
     // The host drops the connection without acking.
     EXPECT_THROW((void)net::read_frame(*bad), net::TransportError);
   }
@@ -114,7 +120,9 @@ TEST(PsHost, MidPushConnectionDropLeavesNoHalfAppliedUpdate) {
     auto torn = net::connect(host.address());
     torn->set_io_timeout(5000);
     wire::Packer req;
-    req.f64(1.0).f64(0.5).u64(2).u32(0).f64(1.0).u32(1).f64(1.0);
+    const std::vector<std::uint32_t> idx{0, 1};
+    const std::vector<double> val{1.0, 1.0};
+    wire::encode_push(req, 1, {0, 1.0, 0.5}, idx, val);
     const std::string payload = std::move(req).take();
     std::string bytes(16 + payload.size(), '\0');
     const std::uint32_t magic = net::kFrameMagic;
@@ -141,6 +149,60 @@ TEST(PsHost, MidPushConnectionDropLeavesNoHalfAppliedUpdate) {
   EXPECT_EQ(host.pushes(), 1u);
   EXPECT_EQ(host.model(), expected);
   EXPECT_EQ(step_values(*good, {0, 1}), (std::vector<double>{0.0, 0.0}));
+}
+
+TEST(PsHost, PushStepAppliesThenAnswersTheGetAtOnce) {
+  // The hosted PS has no rank order: a fused push + get reads the model
+  // right after its own apply, echoing the seq in a kStepReply.
+  service::PsHost host(/*dim=*/8, "tcp://127.0.0.1:0");
+  auto ep = net::connect(host.address());
+  ep->set_io_timeout(5000);
+  const std::vector<std::uint32_t> idx{2, 5};
+  const std::vector<double> val{1.0, -0.5};
+  const std::vector<std::uint32_t> next{5, 0, 2};
+  std::vector<double> expected(8, 0.0);
+  distributed::fenced::apply_push(idx, val, 0.75, 0.5,
+                                  objectives::Regularization::none(),
+                                  expected);
+  wire::Packer req;
+  wire::encode_push_step(req, 41, {0, 0.75, 0.5}, idx, val, next);
+  net::write_frame(*ep, wire::kPushStep, req.view());
+  const net::Frame reply = net::expect_frame(*ep, wire::kStepReply, "fused");
+  wire::Unpacker in(reply.payload);
+  EXPECT_EQ(in.u64(), 41u);
+  std::vector<double> got;
+  wire::decode_step_reply(in, next.size(), got);
+  EXPECT_EQ(got, (std::vector<double>{expected[5], expected[0], expected[2]}));
+  EXPECT_EQ(host.pushes(), 1u);
+  EXPECT_EQ(host.model(), expected);
+}
+
+TEST(PsHost, OutOfRangeGetCoordinateIsATypedProtocolError) {
+  service::PsHost host(/*dim=*/4, "tcp://127.0.0.1:0");
+  auto bad = net::connect(host.address());
+  bad->set_io_timeout(5000);
+  EXPECT_THROW((void)step_values(*bad, {7}), net::TransportError);
+  auto good = net::connect(host.address());
+  good->set_io_timeout(5000);
+  EXPECT_EQ(step_values(*good, {3}), (std::vector<double>{0.0}));
+}
+
+TEST(PsWireCodec, DecodersRejectCountsThePayloadCannotHold) {
+  // A count field announcing more entries than the payload carries is a
+  // typed protocol error before any allocation of that size.
+  wire::Packer p;
+  p.u32(0xffffffffu).u32(1);
+  wire::Unpacker u(p.view());
+  std::vector<std::uint32_t> cols;
+  EXPECT_THROW(wire::decode_cols(u, 16, cols), net::TransportError);
+  EXPECT_LE(cols.capacity(), 1u);
+
+  wire::Packer q;
+  q.u32(0).f64(1.0).f64(1.0).u32(1000).u32(1).f64(2.0);
+  wire::Unpacker v(q.view());
+  std::vector<std::uint32_t> idx;
+  std::vector<double> val;
+  EXPECT_THROW((void)wire::decode_push(v, 16, idx, val), net::TransportError);
 }
 
 TEST(PsHostProtocol, ServeStopRoundTripThroughTheVerbs) {

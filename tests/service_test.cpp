@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -147,6 +148,28 @@ TEST(TrainingService, ConcurrentJobsAllReachTheClosedFormOptimum) {
   EXPECT_EQ(svc.execution().total_jobs(), 3u);
   EXPECT_EQ(svc.execution().active_jobs(), 0u);
   EXPECT_EQ(svc.governor().used(), 0u);
+}
+
+/// Lines of /proc/self/maps: every thread stack still mapped adds to it.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(TrainingService, FinishedJobThreadsAreReapedWhileTheServiceLives) {
+  // Each job trains on its own thread. A finished one must be joined while
+  // the service runs, not at its destruction: an unjoined thread keeps its
+  // stack mapped, so a resident daemon's address space would grow per job.
+  Fixture f;
+  service::TrainingService svc(f.service_options());
+  service::JobSpec spec = f.job("sgd");
+  spec.options.epochs = 2;
+  svc.wait(svc.submit(spec));  // warm-up: pool workers, allocator arenas
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 32; ++i) svc.wait(svc.submit(spec));
+  EXPECT_LT(mapping_count(), before + 32);
 }
 
 TEST(TrainingService, OverBudgetJobIsRefusedWithTypedError) {

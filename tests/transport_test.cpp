@@ -136,6 +136,26 @@ TEST_P(TransportSuite, PeerCloseMidFrameIsTornFrameKClosed) {
   sender.join();
 }
 
+TEST_P(TransportSuite, LastFrameBeforeCloseIsAlwaysDelivered) {
+  // A peer that writes its final frame and closes at once (a controller's
+  // last fence reply, a server's last epoch-go) must never read as a bare
+  // close: the reader may see the close flag in the same instant the bytes
+  // land, and has to drain them first. Many short-lived pairs, so the
+  // reader is caught waiting in its poll loop when both stores arrive.
+  for (int i = 0; i < 300; ++i) {
+    Pair pair = make_pair_over(GetParam(), "lastframe");
+    std::thread writer([&] {
+      write_frame(*pair.client, 5, "last words");
+      pair.client->close();
+    });
+    Frame frame;
+    ASSERT_NO_THROW(frame = read_frame(*pair.server)) << "iteration " << i;
+    writer.join();
+    EXPECT_EQ(frame.type, 5u);
+    EXPECT_EQ(frame.payload, "last words");
+  }
+}
+
 TEST_P(TransportSuite, CleanCloseBeforeAnyFrameIsKClosed) {
   Pair pair = make_pair_over(GetParam(), "eof");
   pair.client->close();
